@@ -23,6 +23,7 @@
 #include "util/rng.hpp"
 #include "util/str.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -67,6 +68,7 @@ struct ClientTally {
     std::uint64_t requests = 0;
     std::uint64_t points = 0;
     std::uint64_t retries = 0;
+    std::vector<bool> picked;  ///< pool keys this client requested
     std::string failure;
 };
 
@@ -122,6 +124,10 @@ int main(int argc, char** argv) {
             reference[i] = serve::encode_result(batch[i]);
         }
     }
+    // The reference batch filled the process-wide memo; drop it so the
+    // server's first request for each key is a real computation, not a memo
+    // hit.
+    armstice::core::reset_sweep_cache();
 
     const std::string sock_path =
         (std::filesystem::temp_directory_path() /
@@ -143,6 +149,7 @@ int main(int argc, char** argv) {
         for (int c = 0; c < clients; ++c) {
             threads.emplace_back([&, c] {
                 ClientTally& tally = tallies[static_cast<std::size_t>(c)];
+                tally.picked.assign(pool.size(), false);
                 try {
                     serve::Client client = serve::Client::connect_unix_path(sock_path);
                     util::Rng rng(seed + static_cast<std::uint64_t>(c) * 0x9e3779b9ULL);
@@ -154,6 +161,7 @@ int main(int argc, char** argv) {
                             const std::size_t k =
                                 static_cast<std::size_t>(rng.next_below(pool.size()));
                             picked.push_back(k);
+                            tally.picked[k] = true;
                             specs.push_back(pool[k]);
                         }
                         const serve::Client::SweepReply reply = client.sweep(specs);
@@ -196,8 +204,12 @@ int main(int argc, char** argv) {
 
     int rc = 0;
     std::uint64_t total_requests = 0, total_points = 0, total_retries = 0;
+    std::vector<bool> requested(pool.size(), false);
     for (int c = 0; c < clients; ++c) {
         const ClientTally& tally = tallies[static_cast<std::size_t>(c)];
+        for (std::size_t k = 0; k < tally.picked.size(); ++k) {
+            if (tally.picked[k]) requested[k] = true;
+        }
         if (!tally.failure.empty()) {
             std::fprintf(stderr, "client %d failed: %s\n", c, tally.failure.c_str());
             rc = 1;
@@ -233,11 +245,16 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(total_retries),
         static_cast<double>(stats.rss_bytes) / (1024.0 * 1024.0));
 
-    if (stats.computed > static_cast<std::uint64_t>(keys)) {
+    // Exactly one computation per distinct key requested: more means
+    // coalescing failed to dedup, fewer means a key was never computed.
+    const auto distinct_requested = static_cast<std::uint64_t>(
+        std::count(requested.begin(), requested.end(), true));
+    if (stats.computed != distinct_requested) {
         std::fprintf(stderr,
-                     "serve-load: %llu computations for %d distinct keys — "
-                     "coalescing failed to dedup\n",
-                     static_cast<unsigned long long>(stats.computed), keys);
+                     "serve-load: %llu computations for %llu distinct keys "
+                     "requested\n",
+                     static_cast<unsigned long long>(stats.computed),
+                     static_cast<unsigned long long>(distinct_requested));
         rc = 1;
     }
 

@@ -29,6 +29,30 @@ std::unordered_map<std::string, std::shared_ptr<const std::any>>& cache() {
 SweepStats g_stats;
 int g_default_jobs = 0;  // 0 = unset -> consult ARMSTICE_JOBS, else serial
 
+// Batches in flight (concurrent or nested) and when the count last left 0.
+// batch_wall_s accrues only on the 1 -> 0 transition, so overlapping
+// batches add their union, never their sum.
+int g_active_batches = 0;
+std::chrono::steady_clock::time_point g_active_since;
+
+/// Scope of one run_points batch in the active-batch count.
+struct ActiveBatch {
+    ActiveBatch() {
+        std::lock_guard<std::mutex> lock(g_mu);
+        if (g_active_batches++ == 0) g_active_since = std::chrono::steady_clock::now();
+    }
+    ~ActiveBatch() {
+        std::lock_guard<std::mutex> lock(g_mu);
+        if (--g_active_batches == 0) {
+            g_stats.batch_wall_s += std::chrono::duration<double>(
+                                        std::chrono::steady_clock::now() - g_active_since)
+                                        .count();
+        }
+    }
+    ActiveBatch(const ActiveBatch&) = delete;
+    ActiveBatch& operator=(const ActiveBatch&) = delete;
+};
+
 int env_jobs() {
     const char* env = std::getenv("ARMSTICE_JOBS");
     if (env == nullptr || *env == '\0') return 0;
@@ -97,6 +121,8 @@ void reset_sweep_cache() {
     std::lock_guard<std::mutex> lock(g_mu);
     cache().clear();
     g_stats = SweepStats{};
+    // Batches still in flight restart their clock with the zeroed counters.
+    if (g_active_batches > 0) g_active_since = std::chrono::steady_clock::now();
 }
 
 namespace detail {
@@ -105,6 +131,7 @@ void run_points(const std::vector<std::string>& keys,
                 const std::function<std::any(std::size_t)>& eval,
                 std::vector<std::any>& results, int jobs, const AnyCodec* codec,
                 const RunHooks* hooks) {
+    const ActiveBatch active;
     const std::size_t n = keys.size();
     results.resize(n);
 
@@ -203,7 +230,6 @@ void run_points(const std::vector<std::string>& keys,
     double eval_s = 0;
     std::mutex eval_mu;
     std::atomic<bool> cancelled{false};
-    const auto batch_start = std::chrono::steady_clock::now();
 
     auto eval_one = [&](std::size_t j) {
         // Cancellation is polled per evaluation: a cancelled batch skips
@@ -255,13 +281,9 @@ void run_points(const std::vector<std::string>& keys,
         g_stats.disk_stores += stores;
     }
 
-    const double batch_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start)
-            .count();
     {
         std::lock_guard<std::mutex> lock(g_mu);
         g_stats.eval_wall_s += eval_s;
-        g_stats.batch_wall_s += batch_s;
         // Promote both evaluated and disk-loaded results into the memo cache.
         for (std::size_t i : reps) {
             if (fresh[i]) cache()[keys[i]] = fresh[i];

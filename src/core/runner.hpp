@@ -89,7 +89,9 @@ struct SweepStats {
     long disk_stores = 0;   ///< fresh results flushed to the persistent cache
     long misses = 0;        ///< points actually evaluated
     double eval_wall_s = 0; ///< per-point evaluation wall time, summed
-    double batch_wall_s = 0;///< elapsed wall time of the run() batches
+    /// Wall time during which at least one run() batch was in flight:
+    /// concurrent and nested batches count their union once, not their sum.
+    double batch_wall_s = 0;
     int jobs = 1;           ///< pool size of the most recent run
 
     [[nodiscard]] double hit_rate() const {

@@ -78,6 +78,31 @@ TEST_F(ThreadInvariance, CsrEllSellSpmv) {
         SCOPED_TRACE(label);
         expect_bit_identical(serial, threaded);
     }
+
+    // CSR alone on shapes the Ell/Sell formats do not take: row counts that
+    // do not divide the partition, columns scattered over a 200k range, and
+    // the n = 0 / n = 1 / empty-row edges.
+    const std::vector<ak::CsrMatrix> edges = {
+        ak::poisson27(13, 9, 7), ak::random_spd(200000, 3, 42),
+        ak::random_spd(1, 0, 1), ak::CsrMatrix(0, 0, {}), ak::CsrMatrix(3, 0, {}),
+        ak::CsrMatrix(4, 5, {{0, 4, 2.5}, {3, 0, -1.0}}),  // rows with no entries
+    };
+    for (const auto& a : edges) {
+        const auto xa = random_vector(static_cast<std::size_t>(a.cols()), 23);
+        auto [serial, threaded] = serial_vs_threaded([&] {
+            std::vector<double> y(static_cast<std::size_t>(a.rows()), -1.0);
+            a.spmv(xa, y);
+            return y;
+        });
+        SCOPED_TRACE(a.rows());
+        expect_bit_identical(serial, threaded);
+        if (a.cols() == 0) {
+            for (const double v : serial) EXPECT_EQ(v, 0.0);
+        }
+        if (a.rows() == 4) {
+            EXPECT_EQ(serial, (std::vector<double>{2.5 * xa[4], 0.0, 0.0, -xa[0]}));
+        }
+    }
 }
 
 TEST_F(ThreadInvariance, DotNormAxpyWaxpby) {
@@ -135,21 +160,35 @@ TEST_F(ThreadInvariance, GemmAndZgemm) {
 }
 
 TEST_F(ThreadInvariance, CgSolveResidualHistoryAndSolution) {
-    const auto a = ak::poisson27(10, 10, 10);
-    const auto b = random_vector(static_cast<std::size_t>(a.rows()), 41);
-    auto solve = [&] {
-        std::vector<double> x(b.size(), 0.0);
-        auto res = ak::cg_solve(a, b, x, {/*max_iters=*/50, /*rel_tol=*/1e-10},
-                                ak::jacobi_preconditioner(a));
-        return std::pair{std::move(x), std::move(res)};
+    // Jacobi-preconditioned on a clustered-column stencil, and plain CG on a
+    // random SPD matrix whose columns scatter across the whole row range.
+    struct Case {
+        ak::CsrMatrix a;
+        bool jacobi;
     };
-    auto [serial, threaded] = serial_vs_threaded(solve);
-    expect_bit_identical(serial.first, threaded.first);
-    EXPECT_EQ(serial.second.iterations, threaded.second.iterations);
-    expect_bit_identical(serial.second.residuals, threaded.second.residuals);
-    EXPECT_EQ(serial.second.counts.flops, threaded.second.counts.flops);
-    EXPECT_EQ(serial.second.counts.bytes_read, threaded.second.counts.bytes_read);
-    EXPECT_EQ(serial.second.counts.bytes_written, threaded.second.counts.bytes_written);
+    const Case cases[] = {{ak::poisson27(10, 10, 10), true},
+                          {ak::random_spd(3000, 4, 7), false}};
+    for (const Case& c : cases) {
+        const ak::CsrMatrix& a = c.a;
+        const bool jacobi = c.jacobi;
+        const auto b = random_vector(static_cast<std::size_t>(a.rows()), 41);
+        auto solve = [&] {
+            std::vector<double> x(b.size(), 0.0);
+            auto res = ak::cg_solve(
+                a, b, x, {/*max_iters=*/50, /*rel_tol=*/1e-10},
+                jacobi ? ak::jacobi_preconditioner(a) : ak::Preconditioner{});
+            return std::pair{std::move(x), std::move(res)};
+        };
+        SCOPED_TRACE(a.rows());
+        auto [serial, threaded] = serial_vs_threaded(solve);
+        expect_bit_identical(serial.first, threaded.first);
+        EXPECT_EQ(serial.second.iterations, threaded.second.iterations);
+        expect_bit_identical(serial.second.residuals, threaded.second.residuals);
+        EXPECT_EQ(serial.second.counts.flops, threaded.second.counts.flops);
+        EXPECT_EQ(serial.second.counts.bytes_read, threaded.second.counts.bytes_read);
+        EXPECT_EQ(serial.second.counts.bytes_written,
+                  threaded.second.counts.bytes_written);
+    }
 }
 
 TEST_F(ThreadInvariance, MultigridVcycle) {
@@ -164,18 +203,27 @@ TEST_F(ThreadInvariance, MultigridVcycle) {
 }
 
 TEST_F(ThreadInvariance, TaylorGreenStepsAndDiagnostics) {
-    auto run = [] {
-        ak::TaylorGreen tgv(16, 0.1, 1e-3);
-        const double dt = tgv.stable_dt();
-        for (int s = 0; s < 3; ++s) tgv.step(dt);
-        return std::tuple{tgv.state(), tgv.total_mass(), tgv.kinetic_energy(),
-                          tgv.max_speed()};
-    };
-    auto [serial, threaded] = serial_vs_threaded(run);
-    expect_bit_identical(std::get<0>(serial), std::get<0>(threaded));
-    EXPECT_EQ(std::get<1>(serial), std::get<1>(threaded));
-    EXPECT_EQ(std::get<2>(serial), std::get<2>(threaded));
-    EXPECT_EQ(std::get<3>(serial), std::get<3>(threaded));
+    // n = 12 does not divide the jobs-8 plane partition; viscous and inviscid
+    // take different sweep sets.
+    for (const auto& grid : {std::pair{16, 1e-3}, std::pair{12, 0.0},
+                             std::pair{12, 1e-3}}) {
+        const int n = grid.first;
+        const double nu = grid.second;
+        auto run = [n, nu] {
+            ak::TaylorGreen tgv(n, 0.1, nu);
+            const double dt = tgv.stable_dt();
+            for (int s = 0; s < 3; ++s) tgv.step(dt);
+            return std::tuple{tgv.state(), tgv.total_mass(), tgv.kinetic_energy(),
+                              tgv.max_speed()};
+        };
+        SCOPED_TRACE(n);
+        SCOPED_TRACE(nu);
+        auto [serial, threaded] = serial_vs_threaded(run);
+        expect_bit_identical(std::get<0>(serial), std::get<0>(threaded));
+        EXPECT_EQ(std::get<1>(serial), std::get<1>(threaded));
+        EXPECT_EQ(std::get<2>(serial), std::get<2>(threaded));
+        EXPECT_EQ(std::get<3>(serial), std::get<3>(threaded));
+    }
 }
 
 TEST_F(ThreadInvariance, NekSpectralAxAndCg) {

@@ -243,6 +243,38 @@ TEST(SweepRunner, FooterReportsPoolPointsAndHitRate) {
     EXPECT_NE(footer.find("hit rate"), std::string::npos);
 }
 
+TEST(SweepRunner, BatchWallTimeCountsOverlappingBatchesOnce) {
+    // Two batches run at the same time, each sleeping through three serial
+    // evaluations. batch_wall_s is the time at least one batch was running,
+    // so it must fit inside the wall time measured around both (the sum of
+    // the two batches would be about twice that).
+    ac::reset_sweep_cache();
+    const auto eval = [](const ac::SweepPoint&, std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        return 1;
+    };
+    std::atomic<int> ready{0};
+    const auto batch = [&](const std::string& prefix) {
+        std::vector<ac::SweepPoint> points;
+        for (int i = 0; i < 3; ++i) points.push_back(pt(prefix + std::to_string(i)));
+        ready.fetch_add(1);
+        while (ready.load() < 2) std::this_thread::yield();
+        (void)ac::SweepRunner(1).run<int>(points, eval);
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread a(batch, "overlap-a");
+    std::thread b(batch, "overlap-b");
+    a.join();
+    b.join();
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const auto stats = ac::sweep_stats();
+    EXPECT_EQ(stats.misses, 6);
+    EXPECT_GE(stats.eval_wall_s, 6 * 0.030);  // per-point time still sums
+    EXPECT_GE(stats.batch_wall_s, 3 * 0.030);
+    EXPECT_LE(stats.batch_wall_s, wall);
+}
+
 // ---- RunHooks (per-point streaming + cancellation) --------------------------
 
 namespace {
