@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 namespace aa = armstice::arch;
 
@@ -152,8 +156,11 @@ TEST(Toolchain, UnknownSystemThrows) {
     EXPECT_THROW(aa::toolchain_for("Summit", "hpcg"), armstice::util::Error);
 }
 
+// The app name is a std::string parameter, not the const char* of
+// kToolchainApps: gtest prints a const char* parameter with its address, so
+// the test names would change from one build (and run) to the next.
 class ToolchainCoverage
-    : public ::testing::TestWithParam<std::tuple<std::size_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::string>> {};
 
 TEST_P(ToolchainCoverage, EverySystemAppPairResolves) {
     const auto& sys = aa::system_catalog()[std::get<0>(GetParam())];
@@ -166,4 +173,5 @@ TEST_P(ToolchainCoverage, EverySystemAppPairResolves) {
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, ToolchainCoverage,
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
-                       ::testing::ValuesIn(aa::kToolchainApps)));
+                       ::testing::ValuesIn(std::vector<std::string>(
+                           std::begin(aa::kToolchainApps), std::end(aa::kToolchainApps)))));
