@@ -480,8 +480,9 @@ int main(int argc, char** argv) {
         am::ProgramSet ps = hpcg_spmd_skeleton(ranks, /*iters=*/20);
         if (!ps.spmd()) {
             std::fprintf(stderr,
-                         "bench_engine: scale skeleton forked — no longer "
-                         "SPMD, scale rows would not collapse\n");
+                         "bench_engine: scale skeleton split into rank "
+                         "groups — no longer SPMD, scale rows would not "
+                         "collapse\n");
             return 1;
         }
         // Differential vs the uncollapsed engine at 100k ranks only: the

@@ -9,8 +9,9 @@
 // standalone CI gate next to the ctest `check` label. `--collapse-smoke N`
 // additionally gates rank-equivalence collapse (DESIGN.md §11) at N ranks —
 // far beyond the fuzz suite's case sizes — `--halo-collapse-smoke N` gates
-// the relative-addressed halo path (§11.4: a 3D Cartesian skeleton must end
-// with classes << ranks AND stay bit-identical to collapse-off).
+// the relative-addressed halo path (§11.4: a 3D Cartesian skeleton must
+// build at most 27 distinct programs, end with classes << ranks AND stay
+// bit-identical to collapse-off).
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -101,11 +102,12 @@ bool collapse_smoke(int ranks) {
 /// skeleton at `ranks` ranks as a shared ProgramBundle. halo_exchange emits
 /// relative-addressed p2p, so the grid interior shares one structural
 /// program and the engine executes it as merged classes — the gate requires
-/// (a) the run to end with FAR fewer classes than ranks (the collapse
-/// actually carried through the p2p), and (b) bit-identity against
-/// collapse-off and a perturbed collapsed schedule. This is the only halo
-/// gate at a scale (100k ranks in CI) the fuzz suite and unit tests cannot
-/// reach. Returns true when both hold.
+/// (a) ProgramSet to build at most 27 distinct programs (DESIGN.md §8), (b)
+/// the run to end with FAR fewer classes than ranks (the collapse actually
+/// carried through the p2p), and (c) bit-identity against collapse-off and a
+/// perturbed collapsed schedule. This is the only halo gate at a scale (100k
+/// ranks in CI) the fuzz suite and unit tests cannot reach. Returns true
+/// when all three hold.
 bool halo_collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "halo-smoke-spmv";
@@ -123,6 +125,16 @@ bool halo_collapse_smoke(int ranks) {
         ps.allreduce(8);
     }
     const as::ProgramBundle bundle = ps.take_bundle();
+    // Build-side collapse: ProgramSet splits its rank groups only where the
+    // halo content differs, so the whole grid builds at most one program per
+    // boundary pattern of a 3D grid (low face, interior, high face per axis).
+    const bool built = bundle.distinct() <= 27;
+    if (!built) {
+        std::fprintf(stderr,
+                     "halo collapse smoke (%d ranks): %d distinct programs built"
+                     " (> 27 boundary patterns)\n",
+                     ranks, bundle.distinct());
+    }
 
     const int nodes = (ranks + 63) / 64;
     aa::ModelKnobs noiseless;
@@ -158,12 +170,12 @@ bool halo_collapse_smoke(int ranks) {
                      " not stay merged\n",
                      ranks, collapsed.collapse_classes);
     }
-    const bool ok = d1.empty() && d2.empty() && merged;
-    std::printf("halo collapse smoke: %d ranks, %d classes, %d splits"
-                " (p2p %d, placement %d) — %s\n",
-                ranks, collapsed.collapse_classes, collapsed.collapse_splits,
-                collapsed.collapse_split_p2p, collapsed.collapse_split_placement,
-                ok ? "bit-identical" : "MISMATCH");
+    const bool ok = d1.empty() && d2.empty() && merged && built;
+    std::printf("halo collapse smoke: %d ranks, %d distinct programs, %d classes,"
+                " %d splits (p2p %d, placement %d) — %s\n",
+                ranks, bundle.distinct(), collapsed.collapse_classes,
+                collapsed.collapse_splits, collapsed.collapse_split_p2p,
+                collapsed.collapse_split_placement, ok ? "bit-identical" : "MISMATCH");
     return ok;
 }
 

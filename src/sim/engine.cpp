@@ -334,7 +334,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     };
 
     // --- Simulation classes (rank-equivalence collapse, DESIGN.md §11) ---
-    // Ranks sharing one Program object (ProgramBundle dedup) and one
+    // Ranks sharing one Program object (one ProgramBundle entry) and one
     // ExecContext class start in one SimClass and execute once. Program
     // *identity* (not content) is the key: the per-rank-vector run() overload
     // passes n distinct pointers and degenerates to n singletons, preserving

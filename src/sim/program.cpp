@@ -168,6 +168,22 @@ ProgramBundle ProgramBundle::from(std::vector<Program> programs) {
     return b;
 }
 
+ProgramBundle ProgramBundle::grouped(std::vector<Program> distinct,
+                                     std::vector<std::uint32_t> index) {
+    ARMSTICE_CHECK(!index.empty(), "ProgramBundle::grouped needs >=1 rank");
+    std::uint32_t next = 0;  // first unseen program index
+    for (const std::uint32_t i : index) {
+        ARMSTICE_CHECK(i <= next && i < distinct.size(),
+                       "ProgramBundle::grouped: programs must be numbered by first rank");
+        if (i == next) ++next;
+    }
+    ARMSTICE_CHECK(next == distinct.size(), "ProgramBundle::grouped: unused program");
+    ProgramBundle b;
+    b.distinct_ = std::move(distinct);
+    b.index_ = std::move(index);
+    return b;
+}
+
 ProgramBundle ProgramBundle::shared(Program proto, int ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramBundle::shared needs >=1 rank");
     ProgramBundle b;

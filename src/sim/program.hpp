@@ -176,8 +176,8 @@ struct Program {
     /// Total counted main-memory bytes.
     [[nodiscard]] double total_main_bytes() const;
 
-    /// Structural hash: equal programs hash equal (used with operator== to
-    /// deduplicate structurally identical rank programs).
+    /// Structural hash: equal programs hash equal (used with operator== by
+    /// ProgramBundle::from).
     [[nodiscard]] std::uint64_t structure_hash() const;
 
     /// Structural equality with pool-resolved phase content (bitwise cost
@@ -201,7 +201,15 @@ public:
 
     /// Deduplicate a fully materialised per-rank vector (structural hash,
     /// then deep equality — hash collisions never merge unequal programs).
+    /// The reference partition: simmpi::ProgramSet builds its groups
+    /// directly, and sim::check and the tests compare against this.
     static ProgramBundle from(std::vector<Program> programs);
+
+    /// Adopt an already-partitioned set: rank r runs distinct[index[r]].
+    /// The distinct programs must be numbered by first rank (as from()
+    /// numbers them) and each used by at least one rank. No hashing.
+    static ProgramBundle grouped(std::vector<Program> distinct,
+                                 std::vector<std::uint32_t> index);
 
     /// Pure-SPMD fast path: every one of `ranks` ranks runs `proto`. O(1)
     /// program storage, no hashing.

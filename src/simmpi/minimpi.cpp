@@ -3,130 +3,189 @@
 #include "util/error.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 namespace armstice::simmpi {
 
 ProgramSet::ProgramSet(int ranks) : nranks_(ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramSet needs >=1 rank");
+    groups_.resize(1);
+    group_of_.assign(static_cast<std::size_t>(ranks), 0);
 }
 
-void ProgramSet::fork() {
-    if (forked_) return;
-    programs_.assign(static_cast<std::size_t>(nranks_), proto_);
-    proto_ = sim::Program{};
-    forked_ = true;
-}
-
-sim::Program& ProgramSet::at(int rank) {
+const sim::Program& ProgramSet::of(int rank) const {
     ARMSTICE_CHECK(rank >= 0 && rank < ranks(), "rank out of range");
-    fork();
-    return programs_[static_cast<std::size_t>(rank)];
+    return groups_[group_of_[static_cast<std::size_t>(rank)]];
 }
 
 ProgramSet& ProgramSet::compute(const arch::ComputePhase& phase) {
-    if (!forked_) {
-        proto_.compute(phase);
-    } else {
-        for (auto& p : programs_) p.compute(phase);
-    }
+    for (auto& p : groups_) p.compute(phase);
     return *this;
 }
 
 ProgramSet& ProgramSet::allreduce(double bytes) {
-    if (!forked_) {
-        proto_.allreduce(bytes);
-    } else {
-        for (auto& p : programs_) p.allreduce(bytes);
-    }
+    for (auto& p : groups_) p.allreduce(bytes);
     return *this;
 }
 
 ProgramSet& ProgramSet::barrier() {
-    if (!forked_) {
-        proto_.barrier();
-    } else {
-        for (auto& p : programs_) p.barrier();
-    }
+    for (auto& p : groups_) p.barrier();
     return *this;
 }
 
 ProgramSet& ProgramSet::alltoall(double bytes_each) {
-    if (!forked_) {
-        proto_.alltoall(bytes_each);
-    } else {
-        for (auto& p : programs_) p.alltoall(bytes_each);
-    }
+    for (auto& p : groups_) p.alltoall(bytes_each);
     return *this;
 }
 
 ProgramSet& ProgramSet::mark(const std::string& label) {
-    if (!forked_) {
-        proto_.mark(label);
-    } else {
-        for (auto& p : programs_) p.mark(label);
-    }
+    for (auto& p : groups_) p.mark(label);
     return *this;
 }
 
-ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
-                                      const std::vector<std::vector<double>>& bytes,
-                                      int tag) {
+template <typename Bytes>
+void ProgramSet::halo(const std::vector<std::vector<int>>& neighbors, Bytes&& bytes,
+                      int tag) {
     ARMSTICE_CHECK(static_cast<int>(neighbors.size()) == ranks(),
                    "neighbor lists must cover all ranks");
-    ARMSTICE_CHECK(bytes.size() == neighbors.size(), "bytes lists must match");
-    // Emit *relative* p2p ops (dst/src as rank offsets): the offsets are the
-    // neighbour relationship itself, so every interior rank of a Cartesian
-    // halo builds a structurally identical program. ProgramBundle dedup then
-    // keeps one copy, and the engine's rank-equivalence collapse (DESIGN.md
-    // §11) executes the whole interior as O(surface) merged classes instead
-    // of O(ranks) singletons — the simulated timings are identical to the
-    // absolute form either way.
-    // All sends first.
-    for (int r = 0; r < ranks(); ++r) {
-        const auto& nb = neighbors[static_cast<std::size_t>(r)];
-        const auto& by = bytes[static_cast<std::size_t>(r)];
-        ARMSTICE_CHECK(nb.size() == by.size(), "neighbor/bytes length mismatch");
-        for (std::size_t i = 0; i < nb.size(); ++i) {
-            ARMSTICE_CHECK(nb[i] >= 0 && nb[i] < ranks(), "neighbor out of range");
-            at(r).send_rel(nb[i] - r, by[i], tag);
-        }
-    }
-    // Then matching receives (one per inbound edge).
     for (int r = 0; r < ranks(); ++r) {
         for (int nb : neighbors[static_cast<std::size_t>(r)]) {
+            ARMSTICE_CHECK(nb >= 0 && nb < ranks(), "neighbor out of range");
             // Exchange symmetry: we receive from everyone we send to. The
             // apps in this repo all use symmetric halo graphs; assert it.
             const auto& back = neighbors[static_cast<std::size_t>(nb)];
             ARMSTICE_CHECK(std::find(back.begin(), back.end(), r) != back.end(),
                            "halo graph must be symmetric");
-            at(r).recv_rel(nb - r, tag);
         }
     }
+    // Emit *relative* p2p ops (dst/src as rank offsets): the offsets are the
+    // neighbour relationship itself, so every interior rank of a Cartesian
+    // halo appends the same ops and stays in one group, and the engine's
+    // rank-equivalence collapse (DESIGN.md §11) executes the whole interior
+    // as O(surface) merged classes instead of O(ranks) singletons — the
+    // simulated timings are identical to the absolute form either way.
+    // Ranks r and s append equal ops (SendOp/RecvOp ==) exactly when their
+    // offsets and payloads match pairwise.
+    const auto same = [&](int r, int s) {
+        const auto& a = neighbors[static_cast<std::size_t>(r)];
+        const auto& b = neighbors[static_cast<std::size_t>(s)];
+        if (a.size() != b.size()) return false;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a[i] - r != b[i] - s || !(bytes(r, i) == bytes(s, i))) return false;
+        }
+        return true;
+    };
+    const std::vector<int> first = refine([](int r) { return r; }, same);
+    std::vector<std::size_t> before(groups_.size());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        auto& prog = groups_[g];
+        before[g] = prog.ops.size();
+        const int r = first[g];
+        const auto& nb = neighbors[static_cast<std::size_t>(r)];
+        // All sends first, then matching receives (one per inbound edge).
+        for (std::size_t i = 0; i < nb.size(); ++i) prog.send_rel(nb[i] - r, bytes(r, i), tag);
+        for (int n : nb) prog.recv_rel(n - r, tag);
+    }
+    merge_equal_groups(before);
+}
+
+void ProgramSet::merge_equal_groups(const std::vector<std::size_t>& before) {
+    // Groups are pairwise distinct on entry to halo(). Two that had equal
+    // lengths differ at an op both still hold, so they stay distinct; only a
+    // pair whose lengths differed before the exchange and match after it can
+    // have become equal (the shorter was a prefix of the longer). Apps never
+    // produce such a pair, but dedup would merge it, so this does too.
+    const std::size_t n = groups_.size();
+    if (n < 2 ||
+        std::all_of(before.begin(), before.end(), [&](std::size_t b) { return b == before[0]; })) {
+        return;
+    }
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0U);
+    const auto len = [&](std::uint32_t g) { return groups_[g].ops.size(); };
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return std::make_pair(len(a), before[a]) < std::make_pair(len(b), before[b]);
+    });
+    std::vector<std::uint32_t> into(n);
+    std::iota(into.begin(), into.end(), 0U);
+    bool merged = false;
+    for (std::size_t i = 0, j = 0; i < n; i = j) {
+        for (j = i + 1; j < n && len(order[j]) == len(order[i]); ++j) {
+        }
+        for (std::size_t a = i; a < j; ++a) {
+            const std::uint32_t ga = order[a];
+            if (into[ga] != ga) continue;
+            for (std::size_t b = a + 1; b < j; ++b) {
+                const std::uint32_t gb = order[b];
+                if (before[gb] != before[ga] && into[gb] == gb && groups_[ga] == groups_[gb]) {
+                    into[gb] = ga;
+                    merged = true;
+                }
+            }
+        }
+    }
+    if (!merged) return;
+    std::vector<std::uint32_t> renum(n);
+    std::vector<sim::Program> kept;
+    for (std::uint32_t g = 0; g < n; ++g) {
+        if (into[g] != g) continue;
+        renum[g] = static_cast<std::uint32_t>(kept.size());
+        kept.push_back(std::move(groups_[g]));
+    }
+    for (auto& g : group_of_) g = renum[into[g]];
+    groups_ = std::move(kept);
+}
+
+ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
+                                      const std::vector<std::vector<double>>& bytes,
+                                      int tag) {
+    ARMSTICE_CHECK(bytes.size() == neighbors.size(), "bytes lists must match");
+    for (std::size_t r = 0; r < neighbors.size(); ++r) {
+        ARMSTICE_CHECK(neighbors[r].size() == bytes[r].size(),
+                       "neighbor/bytes length mismatch");
+    }
+    halo(neighbors, [&](int r, std::size_t i) { return bytes[static_cast<std::size_t>(r)][i]; },
+         tag);
     return *this;
 }
 
 ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
                                       double bytes_per_neighbor, int tag) {
-    std::vector<std::vector<double>> bytes(neighbors.size());
-    for (std::size_t r = 0; r < neighbors.size(); ++r) {
-        bytes[r].assign(neighbors[r].size(), bytes_per_neighbor);
-    }
-    return halo_exchange(neighbors, bytes, tag);
+    halo(neighbors, [bytes_per_neighbor](int, std::size_t) { return bytes_per_neighbor; },
+         tag);
+    return *this;
 }
 
 std::vector<sim::Program> ProgramSet::take() {
-    fork();  // materialise per-rank copies of a pure-SPMD prototype
+    std::vector<sim::Program> out;
+    out.reserve(group_of_.size());
+    for (const std::uint32_t g : group_of_) out.push_back(groups_[g]);
     nranks_ = 0;
-    return std::move(programs_);
+    groups_.clear();
+    group_of_.clear();
+    return out;
 }
 
 sim::ProgramBundle ProgramSet::take_bundle() {
-    const int n = nranks_;
-    nranks_ = 0;
-    if (!forked_) {
-        return sim::ProgramBundle::shared(std::move(proto_), n);
+    // Renumber groups by first rank (ProgramBundle::from's numbering),
+    // reusing group_of_ as the bundle's rank -> program index.
+    constexpr std::uint32_t kNone = UINT32_MAX;
+    std::vector<std::uint32_t> renum(groups_.size(), kNone);
+    std::vector<sim::Program> distinct;
+    distinct.reserve(groups_.size());
+    std::vector<std::uint32_t> index = std::move(group_of_);
+    for (auto& g : index) {
+        if (renum[g] == kNone) {
+            renum[g] = static_cast<std::uint32_t>(distinct.size());
+            distinct.push_back(std::move(groups_[g]));
+        }
+        g = renum[g];
     }
-    return sim::ProgramBundle::from(std::move(programs_));
+    nranks_ = 0;
+    groups_.clear();
+    group_of_.clear();
+    return sim::ProgramBundle::grouped(std::move(distinct), std::move(index));
 }
 
 long chunk_size(long n, int p, int i) {

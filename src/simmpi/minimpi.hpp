@@ -5,17 +5,23 @@
 // sends-before-receives ordering that is deadlock-free under the engine's
 // eager-send semantics (mirroring nonblocking-irecv/isend/waitall codes).
 //
-// Building is copy-on-write: while only SPMD helpers have been used, ops
-// accumulate in ONE prototype program shared by every rank; the first
-// rank-dependent call (at(), compute_by_rank, halo_exchange) forks the
-// prototype into per-rank copies. take_bundle() hands the engine a
-// sim::ProgramBundle that keeps structurally identical rank programs shared
-// (O(distinct x ops) memory); take() still materialises the full per-rank
-// vector for callers that inspect or mutate individual programs.
+// Building keeps ranks in *groups*: every group is one sim::Program that all
+// of its ranks share, and group_of_ maps each rank to its group. A fresh set
+// is one group. SPMD helpers append once per group; the rank-dependent
+// helpers (compute_by_rank, halo_exchange) compute each rank's appended
+// content, split a group only where that content differs (the first child
+// keeps the parent's program, the others copy it) and append once per
+// child. Content equality is exactly ProgramBundle::from's, so the groups
+// are the distinct programs dedup would find, and take_bundle() hands them
+// to the engine by move with no hashing pass (DESIGN.md §8). take() still
+// materialises the full per-rank vector for callers that inspect individual
+// programs.
 
 #include "arch/phase.hpp"
 #include "sim/program.hpp"
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace armstice::simmpi {
@@ -25,39 +31,31 @@ public:
     explicit ProgramSet(int ranks);
 
     [[nodiscard]] int ranks() const { return nranks_; }
-    /// True while every rank still shares the single prototype program. The
+    /// True while every rank shares one program (exactly one group). The
     /// engine's rank-equivalence collapse (DESIGN.md §11) keys classes on
-    /// shared program identity, so a still-SPMD set collapses to one class
-    /// per ExecContext class; bench_engine asserts the scale skeletons stay
-    /// SPMD all the way into take_bundle().
-    [[nodiscard]] bool spmd() const { return !forked_; }
-    /// Mutable access to one rank's program; forks the shared prototype.
-    [[nodiscard]] sim::Program& at(int rank);
+    /// shared program identity, so an SPMD set collapses to one class per
+    /// ExecContext class; bench_engine asserts the scale skeletons stay SPMD
+    /// all the way into take_bundle().
+    [[nodiscard]] bool spmd() const { return groups_.size() == 1; }
+    /// Read-only view of one rank's program (shared with its group). Valid
+    /// until the next op is added: a split may move the group programs.
+    [[nodiscard]] const sim::Program& of(int rank) const;
 
     /// SPMD: every rank executes `phase`.
     ProgramSet& compute(const arch::ComputePhase& phase);
-    /// SPMD: rank-dependent phases (callable rank -> ComputePhase, which must
-    /// be pure — it may be invoked more than once per rank). When every
-    /// rank's phase comes out identical (cost inputs and label) the op is
-    /// emitted through the shared prototype instead of forking, so uniform
-    /// "per-rank" work keeps the structural sharing that feeds ProgramBundle
-    /// dedup and the engine's rank-equivalence collapse. The built programs
-    /// are identical either way.
+    /// Rank-dependent phases (callable rank -> ComputePhase, called once per
+    /// rank). Ranks whose phases match (same_cost_inputs and label) stay in
+    /// one group, so uniform "per-rank" work keeps the sharing that feeds
+    /// the engine's rank-equivalence collapse.
     template <typename F>
     ProgramSet& compute_by_rank(F&& make_phase) {
-        if (!forked_) {
-            arch::ComputePhase first = make_phase(0);
-            bool uniform = true;
-            for (int r = 1; r < ranks() && uniform; ++r) {
-                const arch::ComputePhase p = make_phase(r);
-                uniform = arch::same_cost_inputs(first, p) && p.label == first.label;
-            }
-            if (uniform) {
-                proto_.compute(first);
-                return *this;
-            }
+        std::vector<arch::ComputePhase> phase = refine(
+            make_phase, [](const arch::ComputePhase& a, const arch::ComputePhase& b) {
+                return arch::same_cost_inputs(a, b) && a.label == b.label;
+            });
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            groups_[g].compute(std::move(phase[g]));
         }
-        for (int r = 0; r < ranks(); ++r) at(r).compute(make_phase(r));
         return *this;
     }
     ProgramSet& allreduce(double bytes = 8);
@@ -72,7 +70,8 @@ public:
     /// - rank), so structurally symmetric ranks — a Cartesian halo's whole
     /// interior — share one program and stay merged through the engine's
     /// rank-equivalence collapse (DESIGN.md §11). Timings are identical to
-    /// hand-rolled absolute send/recv pairs.
+    /// hand-rolled absolute send/recv pairs. The inputs are validated before
+    /// any program changes.
     ProgramSet& halo_exchange(const std::vector<std::vector<int>>& neighbors,
                               const std::vector<std::vector<double>>& bytes,
                               int tag = 0);
@@ -81,22 +80,69 @@ public:
                               double bytes_per_neighbor, int tag = 0);
 
     /// Move the built programs out as a full per-rank vector (ProgramSet is
-    /// then empty). Materialises rank copies of the shared prototype.
+    /// then empty). Copies each group's program once per member rank.
     [[nodiscard]] std::vector<sim::Program> take();
 
-    /// Move the built programs out with structural sharing intact: a
-    /// never-forked (pure SPMD) set yields one shared program; a forked set
-    /// is deduplicated by structural hash + equality (ProgramSet is then
-    /// empty). Engine results are bit-identical to the take() path.
+    /// Move the groups out as a bundle, numbered by first rank (ProgramSet is
+    /// then empty). The partition equals ProgramBundle::from(take())'s, so
+    /// engine results are bit-identical to the take() path.
     [[nodiscard]] sim::ProgramBundle take_bundle();
 
 private:
-    void fork();  ///< materialise per-rank copies of the prototype
+    /// Split every group by per-rank content: key(r) is rank r's content and
+    /// eq(a, b) its equality. Ranks are visited in order; a group's first
+    /// rank keeps the group (and its program), every further distinct
+    /// content gets a new group holding a copy of the parent's program.
+    /// Returns the content of each group's first rank, indexed by group.
+    template <typename Key, typename Eq>
+    auto refine(Key&& key, Eq&& eq) {
+        using K = decltype(key(0));
+        constexpr std::uint32_t kNone = UINT32_MAX;
+        const std::size_t parents = groups_.size();
+        std::vector<std::uint32_t> head(parents, kNone);  // parent -> newest child
+        std::vector<std::uint32_t> next(parents, kNone);  // child -> older sibling
+        std::vector<K> content(parents);                  // child -> content
+        for (int r = 0; r < nranks_; ++r) {
+            auto& g = group_of_[static_cast<std::size_t>(r)];
+            const std::uint32_t parent = g;
+            K k = key(r);
+            std::uint32_t hit = head[parent];
+            while (hit != kNone && !eq(k, content[hit])) hit = next[hit];
+            if (hit == kNone) {
+                // The parent's first child keeps its slot; later children
+                // get a copy of the (not yet appended) parent program.
+                if (head[parent] == kNone) {
+                    hit = parent;
+                } else {
+                    hit = static_cast<std::uint32_t>(groups_.size());
+                    sim::Program copy = groups_[parent];
+                    groups_.push_back(std::move(copy));
+                }
+                if (hit >= parents) {
+                    content.emplace_back();
+                    next.push_back(kNone);
+                }
+                content[hit] = std::move(k);
+                next[hit] = head[parent];
+                head[parent] = hit;
+            }
+            g = hit;
+        }
+        return content;
+    }
+
+    /// Shared body of both halo_exchange overloads; bytes(r, i) is rank r's
+    /// payload to its i-th neighbour.
+    template <typename Bytes>
+    void halo(const std::vector<std::vector<int>>& neighbors, Bytes&& bytes, int tag);
+    /// Merge groups whose programs became equal although their lengths
+    /// differed before the last halo_exchange (`before[g]`); keeps the
+    /// groups pairwise distinct.
+    void merge_equal_groups(const std::vector<std::size_t>& before);
 
     int nranks_ = 0;
-    sim::Program proto_;  ///< shared SPMD prefix while !forked_
-    std::vector<sim::Program> programs_;  ///< per-rank programs once forked_
-    bool forked_ = false;
+    std::vector<sim::Program> groups_;       ///< one program per group
+    std::vector<std::uint32_t> group_of_;    ///< rank -> index into groups_
 };
 
 /// Split n items over p parts as evenly as possible; part i gets

@@ -143,8 +143,8 @@ TEST(ProgramBundle, EqualCostDifferentLabelStaysDistinct) {
 // ---- take() vs take_bundle() bit-identity ----------------------------------
 
 am::ProgramSet mixed_workload(int ranks, int iters) {
-    // SPMD prefix, then a rank-dependent middle (forces the copy-on-write
-    // fork), then more SPMD — exercises prototype sharing AND dedup.
+    // SPMD prefix, then a rank-dependent middle (splits the rank groups),
+    // then more SPMD — exercises one-group sharing AND per-group appends.
     am::ProgramSet ps(ranks);
     ps.mark("mixed");
     for (int it = 0; it < iters; ++it) {
