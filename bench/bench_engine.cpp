@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -59,7 +60,7 @@ aa::ComputePhase phase(const char* label, double flops, double bytes,
 /// with three allreduces. Mirrors apps/hpcg/hpcg.cpp at a small grid.
 am::ProgramSet hpcg_skeleton(int ranks, int iters) {
     const auto dims = am::dims_create(ranks, 3);
-    const auto neighbors = am::cart_neighbors(dims, /*periodic=*/false);
+    const am::Halo halo(am::cart_neighbors(dims, /*periodic=*/false));
     constexpr int kLevels = 3;
     const double rows = 16.0 * 16.0 * 16.0;
     const double face = 8.0 * 16.0 * 16.0;
@@ -73,20 +74,20 @@ am::ProgramSet hpcg_skeleton(int ranks, int iters) {
 
     am::ProgramSet ps(ranks);
     for (int it = 0; it < iters; ++it) {
-        ps.halo_exchange(neighbors, face);
+        ps.halo_exchange(halo, face);
         ps.compute(spmv);
         ps.compute(dot);
         ps.allreduce(8);
         for (int l = 0; l < kLevels - 1; ++l) {
-            ps.halo_exchange(neighbors, face);
+            ps.halo_exchange(halo, face);
             ps.compute(symgs);
-            ps.halo_exchange(neighbors, face);
+            ps.halo_exchange(halo, face);
             ps.compute(spmv);
         }
-        ps.halo_exchange(neighbors, face);
+        ps.halo_exchange(halo, face);
         ps.compute(symgs);
         for (int l = kLevels - 2; l >= 0; --l) {
-            ps.halo_exchange(neighbors, face);
+            ps.halo_exchange(halo, face);
             ps.compute(symgs);
         }
         ps.compute(dot);
@@ -123,6 +124,7 @@ am::ProgramSet cosa_skeleton(int ranks, int iters) {
         }
     }
 
+    const am::Halo chain(std::move(neighbors));
     am::ProgramSet ps(ranks);
     ps.mark("cosa-hb-mg");
     for (int it = 0; it < iters; ++it) {
@@ -133,7 +135,7 @@ am::ProgramSet cosa_skeleton(int ranks, int iters) {
             p.vector_fraction = 0.8;
             return p;
         });
-        if (ranks > 1 && active > 1) ps.halo_exchange(neighbors, halo);
+        if (ranks > 1 && active > 1) ps.halo_exchange(chain, halo);
         ps.allreduce(8);
     }
     return ps;

@@ -117,10 +117,10 @@ bool halo_collapse_smoke(int ranks) {
     spmv.efficiency = 0.8;
 
     const auto dims = am::dims_create(ranks, 3);
-    const auto neighbors = am::cart_neighbors(dims, /*periodic=*/false);
+    const am::Halo halo(am::cart_neighbors(dims, /*periodic=*/false));
     am::ProgramSet ps(ranks);
     for (int it = 0; it < 2; ++it) {
-        ps.halo_exchange(neighbors, 8.0 * 16.0 * 16.0);
+        ps.halo_exchange(halo, 8.0 * 16.0 * 16.0);
         ps.compute(spmv);
         ps.allreduce(8);
     }

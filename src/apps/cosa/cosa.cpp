@@ -67,13 +67,12 @@ AppResult run_cosa(const arch::SystemSpec& sys, const CosaConfig& cfg) {
 
     // Blocks chain: block b talks to b-1/b+1; with round-robin ownership the
     // active ranks form a chain neighbourhood.
-    const auto neighbors = simmpi::chain_neighbors(ranks, dist.active_ranks);
+    const simmpi::Halo chain(simmpi::chain_neighbors(ranks, dist.active_ranks));
     std::vector<std::vector<double>> halo_bytes(static_cast<std::size_t>(ranks));
     for (int r = 0; r < dist.active_ranks; ++r) {
         const double b = halo_bytes_per_block *
                          dist.blocks_of[static_cast<std::size_t>(r)];
-        halo_bytes[static_cast<std::size_t>(r)].assign(
-            neighbors[static_cast<std::size_t>(r)].size(), b);
+        halo_bytes[static_cast<std::size_t>(r)].assign(chain.neighbors(r).size(), b);
     }
 
     simmpi::ProgramSet ps(ranks);
@@ -92,7 +91,7 @@ AppResult run_cosa(const arch::SystemSpec& sys, const CosaConfig& cfg) {
             return p;
         });
         if (ranks > 1 && dist.active_ranks > 1) {
-            ps.halo_exchange(neighbors, halo_bytes);
+            ps.halo_exchange(chain, halo_bytes);
         }
         ps.allreduce(8);  // global residual monitor
     }

@@ -103,7 +103,7 @@ HpcgOutcome run_hpcg(const arch::SystemSpec& sys, int nodes, const HpcgConfig& c
 
     // 3D rank grid for halo neighbours.
     const auto dims = simmpi::dims_create(ranks, 3);
-    const auto neighbors = simmpi::cart_neighbors(dims, /*periodic=*/false);
+    const simmpi::Halo halo(simmpi::cart_neighbors(dims, /*periodic=*/false));
 
     // Every phase is invariant across CG iterations: build each once up
     // front instead of re-deriving the ComputePhase (label assignment and
@@ -134,7 +134,7 @@ HpcgOutcome run_hpcg(const arch::SystemSpec& sys, int nodes, const HpcgConfig& c
     simmpi::ProgramSet ps(ranks);
     for (int it = 0; it < cfg.iters; ++it) {
         // Level-0 SpMV (w <- A p) with its halo exchange.
-        ps.halo_exchange(neighbors, levels[0].face_bytes);
+        ps.halo_exchange(halo, levels[0].face_bytes);
         ps.compute(spmv0);
         ps.compute(ddot_pap);
         ps.allreduce(8);
@@ -142,18 +142,18 @@ HpcgOutcome run_hpcg(const arch::SystemSpec& sys, int nodes, const HpcgConfig& c
         // Multigrid V-cycle preconditioner.
         for (int l = 0; l < coarsest; ++l) {
             const auto li = static_cast<std::size_t>(l);
-            ps.halo_exchange(neighbors, levels[li].face_bytes);
+            ps.halo_exchange(halo, levels[li].face_bytes);
             ps.compute(symgs_pre[li]);
-            ps.halo_exchange(neighbors, levels[li].face_bytes);
+            ps.halo_exchange(halo, levels[li].face_bytes);
             ps.compute(mg_residual[li]);
             ps.compute(mg_restrict[li]);
         }
-        ps.halo_exchange(neighbors, levels[static_cast<std::size_t>(coarsest)].face_bytes);
+        ps.halo_exchange(halo, levels[static_cast<std::size_t>(coarsest)].face_bytes);
         ps.compute(symgs_coarse);
         for (int l = coarsest - 1; l >= 0; --l) {
             const auto li = static_cast<std::size_t>(l);
             ps.compute(mg_prolong[li]);
-            ps.halo_exchange(neighbors, levels[li].face_bytes);
+            ps.halo_exchange(halo, levels[li].face_bytes);
             ps.compute(symgs_post[li]);
         }
 

@@ -87,7 +87,7 @@ AppResult run_minikab(const arch::SystemSpec& sys, const MinikabConfig& cfg) {
     blas1.efficiency = eta;
 
     // Slab decomposition: two neighbours in the chain interior.
-    const auto neighbors = simmpi::chain_neighbors(cfg.ranks);
+    const simmpi::Halo chain(simmpi::chain_neighbors(cfg.ranks));
     const double halo = slab_interface_bytes(cfg);
 
     // Solver-variant work: the Jacobi sweep adds a diagonal solve per
@@ -115,7 +115,7 @@ AppResult run_minikab(const arch::SystemSpec& sys, const MinikabConfig& cfg) {
     simmpi::ProgramSet ps(cfg.ranks);
     ps.mark(std::string("minikab-") + minikab_solver_name(cfg.solver));
     for (int it = 0; it < sim_iters; ++it) {
-        if (cfg.ranks > 1) ps.halo_exchange(neighbors, halo);
+        if (cfg.ranks > 1) ps.halo_exchange(chain, halo);
         ps.compute(spmv);
         ps.compute(blas1);
         if (extra.flops > 0) ps.compute(extra);

@@ -54,7 +54,7 @@ AppResult run_nekbone(const arch::SystemSpec& sys, const NekboneConfig& cfg) {
     blas1.efficiency = eta;
 
     // dssum face exchange: ranks form a chain of element slabs.
-    const auto neighbors = simmpi::chain_neighbors(cfg.ranks);
+    const simmpi::Halo chain(simmpi::chain_neighbors(cfg.ranks));
     const double face_bytes = 8.0 * cfg.nx1 * cfg.nx1;
 
     const int sim_iters = std::min(cfg.cg_iters, 60);
@@ -64,7 +64,7 @@ AppResult run_nekbone(const arch::SystemSpec& sys, const NekboneConfig& cfg) {
     ps.mark("nekbone-cg");
     for (int it = 0; it < sim_iters; ++it) {
         ps.compute(ax);
-        if (cfg.ranks > 1) ps.halo_exchange(neighbors, face_bytes);
+        if (cfg.ranks > 1) ps.halo_exchange(chain, face_bytes);
         ps.compute(blas1);
         if (cfg.ranks > 1) {
             ps.allreduce(8);  // pAp

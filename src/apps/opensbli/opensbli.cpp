@@ -43,7 +43,7 @@ AppResult run_opensbli(const arch::SystemSpec& sys, const OpensbliConfig& cfg) {
 
     // 3D Cartesian decomposition; halos carry 2 ghost layers of 5 variables.
     const auto dims = simmpi::dims_create(ranks, 3);
-    const auto neighbors = simmpi::cart_neighbors(dims, /*periodic=*/true);
+    const simmpi::Halo halo(simmpi::cart_neighbors(dims, /*periodic=*/true));
     const double face_pts =
         std::pow(n3 / ranks, 2.0 / 3.0);  // points per subdomain face
     const double halo_bytes = 8.0 * 5.0 * 2.0 * face_pts;
@@ -59,7 +59,7 @@ AppResult run_opensbli(const arch::SystemSpec& sys, const OpensbliConfig& cfg) {
     for (int s = 0; s < sim_steps; ++s) {
         // OPS exchanges halos once per RK stage (3 per step).
         for (int stage = 0; stage < 3; ++stage) {
-            if (ranks > 1) ps.halo_exchange(neighbors, halo_bytes);
+            if (ranks > 1) ps.halo_exchange(halo, halo_bytes);
             ps.compute(stage_stencil);
         }
     }

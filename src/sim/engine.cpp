@@ -33,7 +33,7 @@ struct Message {
 /// ranks the old vector<Message> indirection made every send and every match
 /// a chain of dependent out-of-cache loads.
 ///
-/// All queues of a run live in ONE flat arena (run_impl's `qarena`), and a
+/// All queues of a run live in ONE flat arena (MessageQueues::arena), and a
 /// mailbox is just a tiny src->slot index, so queue storage is one
 /// contiguous allocation per run instead of one per (src, dst) pair.
 struct SrcQueue {
@@ -86,15 +86,84 @@ struct SrcQueue {
     }
 };
 
-/// One rank's inbox: (source rank, qarena slot) pairs. Ranks receive from a
+/// Index of the first message tagged `tag` in sq's live range, or
+/// sq.size() when there is none.
+std::uint32_t first_tagged(const SrcQueue& sq, int tag) {
+    const Message* msgs = sq.data();
+    std::uint32_t i = sq.head;
+    while (i < sq.size() && msgs[i].tag != tag) ++i;
+    return i;
+}
+
+/// One rank's inbox: (source rank, arena slot) pairs. Ranks receive from a
 /// handful of sources (halo neighbours), so the list is a small linearly-
 /// scanned vector — 8 bytes per source, one cache line for 8 neighbours.
 struct Mailbox {
     struct SrcSlot {
         int src;
-        std::uint32_t slot;  ///< index into run_impl's qarena
+        std::uint32_t slot;  ///< index into MessageQueues::arena
     };
     std::vector<SrcSlot> srcs;
+};
+
+/// Every (src, dst) message FIFO of one run and the two indexes that find
+/// them (DESIGN.md §11.6). `arena` is the only queue storage. The per-rank
+/// `mailbox` is the authoritative sparse index: every queue is registered
+/// there on creation, and absolute and MPI_ANY_SOURCE receives scan it.
+/// Relative p2p — every halo message — names its queue by (inbound offset
+/// src - dst, receiving rank) instead, and finds it through the dense
+/// `rel_slot` table: one column per distinct offset (a halo has a handful),
+/// `n` slots per column, allocated on first use. A miss falls back to the
+/// mailbox once (creating the queue if absent) and fills the entry, so a
+/// queue an absolute send created is found again, and both indexes always
+/// name the same queue. Each entry also caches the pair's hop tier, so a
+/// relative send prices its message without a topology walk.
+struct MessageQueues {
+    static constexpr std::uint32_t kMiss = UINT32_MAX;
+    static constexpr std::int32_t kNoTier = INT32_MIN;
+    std::vector<SrcQueue> arena;      ///< indices stay valid across growth
+    std::vector<Mailbox> mailbox;     ///< per receiving rank
+    std::vector<int> rel_offsets;     ///< column -> inbound offset
+    std::vector<std::uint32_t> rel_slot;  ///< column * n + dst -> arena slot
+    std::vector<std::int32_t> rel_tier;   ///< column * n + dst -> hop tier
+    std::size_t n = 0;
+
+    void open(int ranks) {
+        n = static_cast<std::size_t>(ranks);
+        mailbox.assign(n, Mailbox{});
+    }
+    /// Arena slot of the (src -> dst) queue, creating it if absent.
+    std::uint32_t slot_for(int dst, int src) {
+        Mailbox& box = mailbox[static_cast<std::size_t>(dst)];
+        for (const auto& e : box.srcs) {
+            if (e.src == src) return e.slot;
+        }
+        const auto slot = static_cast<std::uint32_t>(arena.size());
+        arena.emplace_back();
+        arena.back().src = src;
+        box.srcs.push_back(Mailbox::SrcSlot{src, slot});
+        return slot;
+    }
+    /// Column of inbound offset `delta` (src - dst), allocated on first use.
+    std::uint32_t column(int delta) {
+        for (std::size_t c = 0; c < rel_offsets.size(); ++c) {
+            if (rel_offsets[c] == delta) return static_cast<std::uint32_t>(c);
+        }
+        rel_offsets.push_back(delta);
+        rel_slot.resize(rel_offsets.size() * n, kMiss);
+        rel_tier.resize(rel_offsets.size() * n, kNoTier);
+        return static_cast<std::uint32_t>(rel_offsets.size() - 1);
+    }
+    /// Arena slot of the (dst + offset(col) -> dst) queue.
+    std::uint32_t rel_slot_for(std::uint32_t col, int dst) {
+        std::uint32_t& e = rel_slot[col * n + static_cast<std::size_t>(dst)];
+        if (e == kMiss) e = slot_for(dst, dst + rel_offsets[col]);
+        return e;
+    }
+    /// Cached hop tier of the same pair (kNoTier until first set).
+    std::int32_t& tier(std::uint32_t col, int dst) {
+        return rel_tier[col * n + static_cast<std::size_t>(dst)];
+    }
 };
 
 enum class BlockKind { none, recv, collective };
@@ -397,11 +466,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     const auto& np = network_.params();
     const auto& topo = network_.topology();
     std::vector<int> rank_node;
-    std::vector<Mailbox> mailbox;
-    /// Every SrcQueue of the run, in creation order (mailbox entries hold
-    /// slots into this). Indices stay valid across growth; references into
-    /// the array do not.
-    std::vector<SrcQueue> qarena;
+    MessageQueues queues;
     bool p2p_live = false;
     const auto ensure_p2p = [&] {
         if (p2p_live) return;
@@ -409,19 +474,8 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         for (int r = 0; r < n; ++r) {
             rank_node[static_cast<std::size_t>(r)] = placement_.loc(r).node;
         }
-        mailbox.assign(static_cast<std::size_t>(n), Mailbox{});
+        queues.open(n);
         p2p_live = true;
-    };
-    /// Arena slot of src's queue in `box`, creating it if absent.
-    const auto slot_for = [&](Mailbox& box, int src) -> std::uint32_t {
-        for (const auto& e : box.srcs) {
-            if (e.src == src) return e.slot;
-        }
-        const auto slot = static_cast<std::uint32_t>(qarena.size());
-        qarena.emplace_back();
-        qarena.back().src = src;
-        box.srcs.push_back(Mailbox::SrcSlot{src, slot});
-        return slot;
     };
 
     // Tiered message-cost table: Network::p2p_time(a, b, bytes) evaluates
@@ -540,33 +594,40 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // (DESIGN.md §10.2). Only singletons reach this path (wildcard recvs
     // split first; merged relative recvs match per member via rel_probe), so
     // the class rep is the receiving rank.
-    const auto find_recv =
-        [&](const SimClass& s) -> std::pair<SrcQueue*, std::uint32_t> {
+    // A relative receive (rel_src set: its offset) goes straight to its
+    // queue through the dense index instead.
+    const auto find_recv = [&](const SimClass& s, std::optional<int> rel_src =
+                                                      std::nullopt)
+        -> std::pair<SrcQueue*, std::uint32_t> {
         if (!p2p_live) return {nullptr, 0};
-        auto& box = mailbox[static_cast<std::size_t>(s.rep)];
+        if (rel_src) {
+            auto& sq = queues.arena[queues.rel_slot_for(queues.column(*rel_src), s.rep)];
+            const std::uint32_t i = first_tagged(sq, s.want_tag);
+            return {i < sq.size() ? &sq : nullptr, i};
+        }
+        auto& box = queues.mailbox[static_cast<std::size_t>(s.rep)];
         SrcQueue* best_sq = nullptr;
         std::uint32_t best_i = 0;
         for (const auto& e : box.srcs) {
             if (s.want_src != kAnySource && e.src != s.want_src) continue;
-            auto& sq = qarena[e.slot];
-            const Message* msgs = sq.data();
-            for (std::uint32_t i = sq.head; i < sq.size(); ++i) {
-                if (msgs[i].tag != s.want_tag) continue;
-                if (best_sq == nullptr ||
-                    msgs[i].arrival < best_sq->data()[best_i].arrival ||
-                    (msgs[i].arrival == best_sq->data()[best_i].arrival &&
-                     sq.src < best_sq->src)) {
-                    best_sq = &sq;
-                    best_i = i;
-                }
-                break;  // first tag match per source is the only candidate
+            auto& sq = queues.arena[e.slot];
+            // The first tag match per source is the only candidate.
+            const std::uint32_t i = first_tagged(sq, s.want_tag);
+            if (i < sq.size() &&
+                (best_sq == nullptr ||
+                 sq.data()[i].arrival < best_sq->data()[best_i].arrival ||
+                 (sq.data()[i].arrival == best_sq->data()[best_i].arrival &&
+                  sq.src < best_sq->src))) {
+                best_sq = &sq;
+                best_i = i;
             }
             if (s.want_src != kAnySource) break;
         }
         return {best_sq, best_i};
     };
-    const auto try_recv = [&](const SimClass& s) -> std::optional<Message> {
-        auto [best_sq, best_i] = find_recv(s);
+    const auto try_recv = [&](const SimClass& s,
+                              std::optional<int> rel_src) -> std::optional<Message> {
+        auto [best_sq, best_i] = find_recv(s, rel_src);
         if (best_sq == nullptr) return std::nullopt;
         Message m = best_sq->data()[best_i];
         best_sq->consume(best_i);
@@ -653,17 +714,19 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
     };
 
-    // Hop-tier signature of a relative send from member `m`: -1 when source
-    // and destination share a node, else the hop count. Together with the
-    // byte count this determines the transfer price, so "same tier for every
-    // member" is exactly "same send timing for every member".
+    // Hop tier of a send from `m` to m + delta: -1 when source and
+    // destination share a node, else the hop count. Together with the byte
+    // count this determines the transfer price, so for a merged relative
+    // send "same tier for every member" is exactly "same send timing for
+    // every member".
     const auto rel_tier = [&](int m, int delta) -> int {
         const int a = rank_node[static_cast<std::size_t>(m)];
         const int b = rank_node[static_cast<std::size_t>(m + delta)];
         return a == b ? -1 : topo.hops(a, b);
     };
-    // Transfer seconds under one tier — the same expressions as the absolute
-    // SendOp branch, so merged and singleton executions produce equal bits.
+    // Transfer seconds under one tier: Network::p2p_time's expressions over
+    // the hop_base table. Every send, merged or singleton, absolute or
+    // relative, is priced here, so all of them produce equal bits.
     const auto tier_price = [&](int tier, double bytes) -> double {
         if (tier < 0) {
             return np.shm_latency_s + bytes / np.shm_bandwidth +
@@ -687,31 +750,23 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     /// finite completion time can never produce.
     constexpr std::uint64_t kNoMatch = ~std::uint64_t{0};
     struct RelHit {
-        std::uint32_t slot = UINT32_MAX;  ///< qarena slot, UINT32_MAX = none
+        std::uint32_t slot = UINT32_MAX;  ///< arena slot, UINT32_MAX = none
         std::uint32_t idx = 0;
         double arrival = 0;
     };
     std::vector<RelHit> rel_hits;  // scratch, parallel to glabels
-    // First tag match in the (m + delta -> m) FIFO — the unique candidate an
-    // explicit-source receive can consume, and (FIFO order) a choice that
-    // later deliveries can never change.
-    const auto rel_match = [&](int m, int delta, int tag) -> RelHit {
+    // First tag match in the (m + offset(col) -> m) FIFO — the unique
+    // candidate an explicit-source receive can consume, and (FIFO order) a
+    // choice that later deliveries can never change.
+    const auto rel_match = [&](int m, std::uint32_t col, int tag) -> RelHit {
         RelHit h;
-        if (!p2p_live) return h;
-        const auto& box = mailbox[static_cast<std::size_t>(m)];
-        const int src = m + delta;
-        for (const auto& e : box.srcs) {
-            if (e.src != src) continue;
-            const auto& sq = qarena[e.slot];
-            const Message* msgs = sq.data();
-            for (std::uint32_t i = sq.head; i < sq.size(); ++i) {
-                if (msgs[i].tag != tag) continue;
-                h.slot = e.slot;
-                h.idx = i;
-                h.arrival = msgs[i].arrival;
-                break;
-            }
-            break;
+        const std::uint32_t slot = queues.rel_slot_for(col, m);
+        const SrcQueue& sq = queues.arena[slot];
+        const std::uint32_t i = first_tagged(sq, tag);
+        if (i < sq.size()) {
+            h.slot = slot;
+            h.idx = i;
+            h.arrival = sq.data()[i].arrival;
         }
         return h;
     };
@@ -724,8 +779,10 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         glabels.clear();
         bool any = false;
         bool all = true;
+        // Before the first send every queue is empty: nothing can match.
+        const std::uint32_t col = p2p_live ? queues.column(delta) : 0;
         each_member(s, [&](int m) {
-            const RelHit h = rel_match(m, delta, tag);
+            const RelHit h = p2p_live ? rel_match(m, col, tag) : RelHit{};
             rel_hits.push_back(h);
             if (h.slot == UINT32_MAX) {
                 all = false;
@@ -798,10 +855,11 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         s.time += inject;
         s.stats.injected_bytes += snd.bytes;
         ++s.stats.msgs_sent;
+        // Receivers see this message at inbound offset -dst.
+        const std::uint32_t col = queues.column(-snd.dst);
         each_member(s, [&](int m) {
             const int dst = m + snd.dst;
-            qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], m)]
-                .push_back(Message{m, snd.tag, arrival});
+            queues.arena[queues.rel_slot_for(col, dst)].push_back(Message{m, snd.tag, arrival});
             if (recv_waiting_at(dst)) {
                 wake(cls_of[static_cast<std::size_t>(dst)]);
             }
@@ -846,7 +904,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             split_groups(ci, SplitWhy::p2p);
             return 0;
         }
-        for (const RelHit& h : rel_hits) qarena[h.slot].consume(h.idx);
+        for (const RelHit& h : rel_hits) queues.arena[h.slot].consume(h.idx);
         double done;
         std::memcpy(&done, &glabels[0], sizeof done);
         // Uniform completion means either every arrival <= class time (no
@@ -1059,18 +1117,19 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 ARMSTICE_CHECK(dst >= 0 && dst < n, "send dst out of range");
                 ARMSTICE_CHECK(snd->bytes >= 0, "negative message size");
                 ensure_p2p();
-                const int src_node = rank_node[static_cast<std::size_t>(r)];
-                const int dst_node = rank_node[static_cast<std::size_t>(dst)];
-                double p2p;
-                if (src_node == dst_node) {
-                    p2p = np.shm_latency_s + snd->bytes / np.shm_bandwidth +
-                          np.msg_overhead_s;
+                std::uint32_t q;
+                int tier;
+                if (snd->rel) {
+                    const std::uint32_t col = queues.column(-snd->dst);
+                    q = queues.rel_slot_for(col, dst);
+                    std::int32_t& cached = queues.tier(col, dst);
+                    if (cached == MessageQueues::kNoTier) cached = rel_tier(r, snd->dst);
+                    tier = cached;
                 } else {
-                    p2p = hop_base[static_cast<std::size_t>(
-                              topo.hops(src_node, dst_node))] +
-                          snd->bytes / np.bandwidth + np.msg_overhead_s;
+                    q = queues.slot_for(dst, r);
+                    tier = rel_tier(r, dst - r);
                 }
-                const double arrival = s.time + p2p;
+                const double arrival = s.time + tier_price(tier, snd->bytes);
                 const double inject =
                     np.msg_overhead_s + snd->bytes / np.injection_bw;
                 if (trace) {
@@ -1079,8 +1138,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 s.time += inject;
                 stats.injected_bytes += snd->bytes;
                 ++stats.msgs_sent;
-                qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], r)]
-                    .push_back(Message{r, snd->tag, arrival});
+                queues.arena[q].push_back(Message{r, snd->tag, arrival});
                 // ANY_SOURCE waiters are not woken by sends: they resolve at
                 // quiescence only (schedule invariance).
                 if (recv_waiting_at(dst)) {
@@ -1104,7 +1162,8 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 std::optional<Message> m;
                 if (!rcv->is_any() || s.any_grant) {
                     s.any_grant = false;
-                    m = try_recv(s);
+                    m = try_recv(s, rcv->rel ? std::optional<int>(rcv->src)
+                                             : std::nullopt);
                 }
                 if (m) {
                     if (m->arrival > s.time) {

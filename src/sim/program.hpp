@@ -128,7 +128,13 @@ struct Program {
     Program& compute(arch::ComputePhase phase) {
         const PhaseId id = intern_phase_label(phase.label);
         const std::uint64_t key = arch::cost_signature(phase);
-        ops.emplace_back(ComputeOp{pool_phase(std::move(phase)), id, key});
+        return compute(std::move(phase), id, key);
+    }
+    /// compute() with the label id and cost signature already taken
+    /// (intern_phase_label(phase.label), arch::cost_signature(phase)), for
+    /// builders that append one phase to many programs.
+    Program& compute(arch::ComputePhase phase, PhaseId label_id, std::uint64_t cost_key) {
+        ops.emplace_back(ComputeOp{pool_phase(std::move(phase)), label_id, cost_key});
         return *this;
     }
     Program& send(int dst, double bytes, int tag = 0) {

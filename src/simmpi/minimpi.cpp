@@ -3,15 +3,53 @@
 #include "util/error.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <map>
 #include <numeric>
 #include <utility>
 
 namespace armstice::simmpi {
 
+Halo::Halo(std::vector<std::vector<int>> neighbors) : neighbors_(std::move(neighbors)) {
+    const int n = ranks();
+    for (int r = 0; r < n; ++r) {
+        for (int nb : neighbors_[static_cast<std::size_t>(r)]) {
+            ARMSTICE_CHECK(nb >= 0 && nb < n, "neighbor out of range");
+            // Exchange symmetry: we receive from everyone we send to. The
+            // apps in this repo all use symmetric halo graphs; assert it.
+            const auto& back = neighbors_[static_cast<std::size_t>(nb)];
+            ARMSTICE_CHECK(std::find(back.begin(), back.end(), r) != back.end(),
+                           "halo graph must be symmetric");
+        }
+    }
+    // Class ranks by offset list. Runs of consecutive ranks usually share a
+    // class (a Cartesian interior row), so try the previous rank's first.
+    std::map<std::vector<int>, std::uint32_t> ids;
+    class_of_.resize(neighbors_.size());
+    std::vector<int> off;
+    for (int r = 0; r < n; ++r) {
+        off.clear();
+        for (int nb : neighbors_[static_cast<std::size_t>(r)]) off.push_back(nb - r);
+        std::uint32_t c;
+        if (r > 0 && offsets_[class_of_[static_cast<std::size_t>(r) - 1]] == off) {
+            c = class_of_[static_cast<std::size_t>(r) - 1];
+        } else {
+            const auto [it, fresh] = ids.emplace(off, static_cast<std::uint32_t>(offsets_.size()));
+            if (fresh) offsets_.push_back(off);
+            c = it->second;
+        }
+        class_of_[static_cast<std::size_t>(r)] = c;
+    }
+    static std::atomic<std::uint64_t> next_id{1};
+    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
 ProgramSet::ProgramSet(int ranks) : nranks_(ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramSet needs >=1 rank");
     groups_.resize(1);
     group_of_.assign(static_cast<std::size_t>(ranks), 0);
+    first_.assign(1, 0);
 }
 
 const sim::Program& ProgramSet::of(int rank) const {
@@ -20,7 +58,10 @@ const sim::Program& ProgramSet::of(int rank) const {
 }
 
 ProgramSet& ProgramSet::compute(const arch::ComputePhase& phase) {
-    for (auto& p : groups_) p.compute(phase);
+    // Intern and sign once per call, not once per group.
+    const sim::PhaseId label_id = sim::intern_phase_label(phase.label);
+    const std::uint64_t cost_key = arch::cost_signature(phase);
+    for (auto& p : groups_) p.compute(phase, label_id, cost_key);
     return *this;
 }
 
@@ -45,20 +86,8 @@ ProgramSet& ProgramSet::mark(const std::string& label) {
 }
 
 template <typename Bytes>
-void ProgramSet::halo(const std::vector<std::vector<int>>& neighbors, Bytes&& bytes,
-                      int tag) {
-    ARMSTICE_CHECK(static_cast<int>(neighbors.size()) == ranks(),
-                   "neighbor lists must cover all ranks");
-    for (int r = 0; r < ranks(); ++r) {
-        for (int nb : neighbors[static_cast<std::size_t>(r)]) {
-            ARMSTICE_CHECK(nb >= 0 && nb < ranks(), "neighbor out of range");
-            // Exchange symmetry: we receive from everyone we send to. The
-            // apps in this repo all use symmetric halo graphs; assert it.
-            const auto& back = neighbors[static_cast<std::size_t>(nb)];
-            ARMSTICE_CHECK(std::find(back.begin(), back.end(), r) != back.end(),
-                           "halo graph must be symmetric");
-        }
-    }
+void ProgramSet::halo(const Halo& plan, Bytes&& bytes, bool uniform, int tag) {
+    ARMSTICE_CHECK(plan.ranks() == ranks(), "neighbor lists must cover all ranks");
     // Emit *relative* p2p ops (dst/src as rank offsets): the offsets are the
     // neighbour relationship itself, so every interior rank of a Cartesian
     // halo appends the same ops and stays in one group, and the engine's
@@ -66,26 +95,37 @@ void ProgramSet::halo(const std::vector<std::vector<int>>& neighbors, Bytes&& by
     // as O(surface) merged classes instead of O(ranks) singletons — the
     // simulated timings are identical to the absolute form either way.
     // Ranks r and s append equal ops (SendOp/RecvOp ==) exactly when their
-    // offsets and payloads match pairwise.
-    const auto same = [&](int r, int s) {
-        const auto& a = neighbors[static_cast<std::size_t>(r)];
-        const auto& b = neighbors[static_cast<std::size_t>(s)];
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (a[i] - r != b[i] - s || !(bytes(r, i) == bytes(s, i))) return false;
-        }
-        return true;
-    };
-    const std::vector<int> first = refine([](int r) { return r; }, same);
+    // offset classes and payloads match, so the groups are refined by class
+    // (and, for per-rank payloads, by payload row). A partition that already
+    // refines the plan's classes needs no uniform-bytes refinement at all.
+    const bool known =
+        std::find(refined_.begin(), refined_.end(), plan.id()) != refined_.end();
+    if (!uniform) {
+        refine([](int r) { return r; }, [&](int r, int s) {
+            if (plan.class_of(r) != plan.class_of(s)) return false;
+            for (std::size_t i = 0; i < plan.neighbors(r).size(); ++i) {
+                if (!(bytes(r, i) == bytes(s, i))) return false;
+            }
+            return true;
+        });
+    } else if (!known) {
+        refine([&](int r) { return plan.class_of(r); }, std::equal_to<>());
+    }
+    if (!known) {
+        // Forgetting a plan only costs one more refinement, so keep a few.
+        constexpr std::size_t kRefinedCap = 8;
+        if (refined_.size() == kRefinedCap) refined_.erase(refined_.begin());
+        refined_.push_back(plan.id());
+    }
     std::vector<std::size_t> before(groups_.size());
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         auto& prog = groups_[g];
         before[g] = prog.ops.size();
-        const int r = first[g];
-        const auto& nb = neighbors[static_cast<std::size_t>(r)];
+        const int r = first_[g];
+        const auto& off = plan.offsets(plan.class_of(r));
         // All sends first, then matching receives (one per inbound edge).
-        for (std::size_t i = 0; i < nb.size(); ++i) prog.send_rel(nb[i] - r, bytes(r, i), tag);
-        for (int n : nb) prog.recv_rel(n - r, tag);
+        for (std::size_t i = 0; i < off.size(); ++i) prog.send_rel(off[i], bytes(r, i), tag);
+        for (int d : off) prog.recv_rel(d, tag);
     }
     merge_equal_groups(before);
 }
@@ -126,35 +166,54 @@ void ProgramSet::merge_equal_groups(const std::vector<std::size_t>& before) {
         }
     }
     if (!merged) return;
+    // A merged group can hold ranks of different offset classes of an
+    // earlier plan (or of this one): the pair only has to end up equal.
+    refined_.clear();
     std::vector<std::uint32_t> renum(n);
     std::vector<sim::Program> kept;
+    std::vector<int> kept_first;
     for (std::uint32_t g = 0; g < n; ++g) {
         if (into[g] != g) continue;
         renum[g] = static_cast<std::uint32_t>(kept.size());
         kept.push_back(std::move(groups_[g]));
+        kept_first.push_back(first_[g]);
+    }
+    for (std::uint32_t g = 0; g < n; ++g) {
+        int& f = kept_first[renum[into[g]]];
+        f = std::min(f, first_[g]);
     }
     for (auto& g : group_of_) g = renum[into[g]];
     groups_ = std::move(kept);
+    first_ = std::move(kept_first);
+}
+
+ProgramSet& ProgramSet::halo_exchange(const Halo& plan, double bytes_per_neighbor, int tag) {
+    halo(plan, [bytes_per_neighbor](int, std::size_t) { return bytes_per_neighbor; },
+         /*uniform=*/true, tag);
+    return *this;
+}
+
+ProgramSet& ProgramSet::halo_exchange(const Halo& plan,
+                                      const std::vector<std::vector<double>>& bytes, int tag) {
+    ARMSTICE_CHECK(static_cast<int>(bytes.size()) == plan.ranks(), "bytes lists must match");
+    for (int r = 0; r < plan.ranks(); ++r) {
+        ARMSTICE_CHECK(plan.neighbors(r).size() == bytes[static_cast<std::size_t>(r)].size(),
+                       "neighbor/bytes length mismatch");
+    }
+    halo(plan, [&](int r, std::size_t i) { return bytes[static_cast<std::size_t>(r)][i]; },
+         /*uniform=*/false, tag);
+    return *this;
 }
 
 ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
                                       const std::vector<std::vector<double>>& bytes,
                                       int tag) {
-    ARMSTICE_CHECK(bytes.size() == neighbors.size(), "bytes lists must match");
-    for (std::size_t r = 0; r < neighbors.size(); ++r) {
-        ARMSTICE_CHECK(neighbors[r].size() == bytes[r].size(),
-                       "neighbor/bytes length mismatch");
-    }
-    halo(neighbors, [&](int r, std::size_t i) { return bytes[static_cast<std::size_t>(r)][i]; },
-         tag);
-    return *this;
+    return halo_exchange(Halo(neighbors), bytes, tag);
 }
 
 ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
                                       double bytes_per_neighbor, int tag) {
-    halo(neighbors, [bytes_per_neighbor](int, std::size_t) { return bytes_per_neighbor; },
-         tag);
-    return *this;
+    return halo_exchange(Halo(neighbors), bytes_per_neighbor, tag);
 }
 
 std::vector<sim::Program> ProgramSet::take() {
@@ -164,6 +223,8 @@ std::vector<sim::Program> ProgramSet::take() {
     nranks_ = 0;
     groups_.clear();
     group_of_.clear();
+    first_.clear();
+    refined_.clear();
     return out;
 }
 
@@ -185,6 +246,8 @@ sim::ProgramBundle ProgramSet::take_bundle() {
     nranks_ = 0;
     groups_.clear();
     group_of_.clear();
+    first_.clear();
+    refined_.clear();
     return sim::ProgramBundle::grouped(std::move(distinct), std::move(index));
 }
 

@@ -16,15 +16,57 @@
 // to the engine by move with no hashing pass (DESIGN.md §8). take() still
 // materialises the full per-rank vector for callers that inspect individual
 // programs.
+//
+// A halo's neighbour graph is planned once (simmpi::Halo): the plan checks
+// the graph and gives every rank an offset-class id, the list of its
+// neighbour offsets. Apps build the plan outside their iteration loop. Once
+// a set's partition refines a plan's classes (every group inside one class)
+// it stays so — later ops only split groups — so a uniform-bytes exchange
+// over an already-refined plan appends once per group from the group's
+// first rank and never walks the ranks. A merge of realigned groups can
+// join ranks of different classes, so it forgets every refined plan.
 
 #include "arch/phase.hpp"
 #include "sim/program.hpp"
 
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 namespace armstice::simmpi {
+
+/// A planned neighbour (halo) graph: rank r exchanges with neighbors[r].
+/// Construction validates the graph (every neighbour in range, every edge
+/// present in both directions) and classes the ranks by their list of
+/// neighbour offsets (nb - r, in list order): ranks of one class append equal
+/// relative halo ops, so a ProgramSet keeps them in one group. Build a plan
+/// once and reuse it for every exchange over the same graph.
+class Halo {
+public:
+    explicit Halo(std::vector<std::vector<int>> neighbors);
+
+    [[nodiscard]] int ranks() const { return static_cast<int>(neighbors_.size()); }
+    [[nodiscard]] const std::vector<int>& neighbors(int rank) const {
+        return neighbors_[static_cast<std::size_t>(rank)];
+    }
+    /// Offset-class id of `rank` (ranks with equal offset lists share it).
+    [[nodiscard]] std::uint32_t class_of(int rank) const {
+        return class_of_[static_cast<std::size_t>(rank)];
+    }
+    /// Neighbour offsets (nb - r) of every rank in class `c`.
+    [[nodiscard]] const std::vector<int>& offsets(std::uint32_t c) const {
+        return offsets_[c];
+    }
+    /// Process-unique plan id, shared by copies (they plan the same graph).
+    [[nodiscard]] std::uint64_t id() const { return id_; }
+
+private:
+    std::vector<std::vector<int>> neighbors_;
+    std::vector<std::uint32_t> class_of_;      ///< rank -> offset class
+    std::vector<std::vector<int>> offsets_;    ///< class -> offsets
+    std::uint64_t id_ = 0;
+};
 
 class ProgramSet {
 public:
@@ -63,21 +105,35 @@ public:
     ProgramSet& alltoall(double bytes_each);
     ProgramSet& mark(const std::string& label);
 
-    /// Neighbour (halo) exchange: rank r sends `bytes[r][i]` to
-    /// `neighbors[r][i]` and receives from each of its neighbours. Posts all
+    /// Neighbour (halo) exchange over a planned graph: rank r sends
+    /// `bytes` to each of its neighbours and receives from each. Posts all
     /// sends first, then the receives (deadlock-free with eager sends).
     /// Emitted in *relative* form (send_rel/recv_rel with offset = neighbour
-    /// - rank), so structurally symmetric ranks — a Cartesian halo's whole
+    /// - rank), so ranks of one offset class — a Cartesian halo's whole
     /// interior — share one program and stay merged through the engine's
     /// rank-equivalence collapse (DESIGN.md §11). Timings are identical to
-    /// hand-rolled absolute send/recv pairs. The inputs are validated before
-    /// any program changes.
+    /// hand-rolled absolute send/recv pairs. The plan's rank count must match.
+    ProgramSet& halo_exchange(const Halo& plan, double bytes_per_neighbor, int tag = 0);
+    /// Per-rank payloads: rank r sends `bytes[r][i]` to its i-th neighbour.
+    /// Sizes are validated before any program changes.
+    ProgramSet& halo_exchange(const Halo& plan, const std::vector<std::vector<double>>& bytes,
+                              int tag = 0);
+    /// Unplanned forms: validate and plan `neighbors` for this one call.
     ProgramSet& halo_exchange(const std::vector<std::vector<int>>& neighbors,
                               const std::vector<std::vector<double>>& bytes,
                               int tag = 0);
-    /// Uniform-size convenience overload.
     ProgramSet& halo_exchange(const std::vector<std::vector<int>>& neighbors,
                               double bytes_per_neighbor, int tag = 0);
+    /// Braced neighbour lists bind here: a one-element list would otherwise
+    /// convert to a Halo and to a vector equally well.
+    ProgramSet& halo_exchange(std::initializer_list<std::vector<int>> neighbors,
+                              double bytes_per_neighbor, int tag = 0) {
+        return halo_exchange(Halo(neighbors), bytes_per_neighbor, tag);
+    }
+    ProgramSet& halo_exchange(std::initializer_list<std::vector<int>> neighbors,
+                              const std::vector<std::vector<double>>& bytes, int tag = 0) {
+        return halo_exchange(Halo(neighbors), bytes, tag);
+    }
 
     /// Move the built programs out as a full per-rank vector (ProgramSet is
     /// then empty). Copies each group's program once per member rank.
@@ -94,6 +150,8 @@ private:
     /// rank keeps the group (and its program), every further distinct
     /// content gets a new group holding a copy of the parent's program.
     /// Returns the content of each group's first rank, indexed by group.
+    /// A parent's first rank lands in the parent's own slot, so first_ stays
+    /// each group's lowest rank.
     template <typename Key, typename Eq>
     auto refine(Key&& key, Eq&& eq) {
         using K = decltype(key(0));
@@ -117,6 +175,7 @@ private:
                     hit = static_cast<std::uint32_t>(groups_.size());
                     sim::Program copy = groups_[parent];
                     groups_.push_back(std::move(copy));
+                    first_.push_back(r);
                 }
                 if (hit >= parents) {
                     content.emplace_back();
@@ -131,10 +190,10 @@ private:
         return content;
     }
 
-    /// Shared body of both halo_exchange overloads; bytes(r, i) is rank r's
-    /// payload to its i-th neighbour.
+    /// Shared body of the halo_exchange overloads; bytes(r, i) is rank r's
+    /// payload to its i-th neighbour, and `uniform` says it ignores (r, i).
     template <typename Bytes>
-    void halo(const std::vector<std::vector<int>>& neighbors, Bytes&& bytes, int tag);
+    void halo(const Halo& plan, Bytes&& bytes, bool uniform, int tag);
     /// Merge groups whose programs became equal although their lengths
     /// differed before the last halo_exchange (`before[g]`); keeps the
     /// groups pairwise distinct.
@@ -143,6 +202,9 @@ private:
     int nranks_ = 0;
     std::vector<sim::Program> groups_;       ///< one program per group
     std::vector<std::uint32_t> group_of_;    ///< rank -> index into groups_
+    std::vector<int> first_;                 ///< group -> its lowest rank
+    /// Ids of the plans whose offset classes the partition refines.
+    std::vector<std::uint64_t> refined_;
 };
 
 /// Split n items over p parts as evenly as possible; part i gets
